@@ -8,11 +8,13 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 
 	"tsvstress/internal/floats"
 	"tsvstress/internal/geom"
+	"tsvstress/internal/spatial"
 	"tsvstress/internal/tensor"
 )
 
@@ -99,20 +101,55 @@ func Masked(pts []geom.Point, masks ...Mask) []geom.Point {
 
 // OutsideTSVs returns a mask that rejects points inside any TSV
 // footprint (distance < rPrime from a center) — simulation points are
-// device-layer silicon locations (DESIGN.md §2).
+// device-layer silicon locations (DESIGN.md §2). The mask indexes the
+// centers of pl when built; later edits to pl are not seen.
 func OutsideTSVs(pl *geom.Placement, rPrime float64) Mask {
-	return func(p geom.Point) bool {
-		_, d := pl.NearestTSV(p)
-		return d >= rPrime
-	}
+	nearest := nearestTSVWithin(pl, rPrime)
+	return func(p geom.Point) bool { return nearest(p) >= rPrime }
 }
 
 // WithinAnyTSV returns a mask that keeps only points within radius of
-// some TSV center — the paper's "critical region".
+// some TSV center — the paper's "critical region". Like OutsideTSVs it
+// indexes the centers of pl when built.
 func WithinAnyTSV(pl *geom.Placement, radius float64) Mask {
-	return func(p geom.Point) bool {
+	nearest := nearestTSVWithin(pl, radius)
+	return func(p geom.Point) bool { return nearest(p) <= radius }
+}
+
+// nearestTSVWithin returns a function giving the distance from p to its
+// nearest TSV center, exactly as Placement.NearestTSV computes it, when
+// that distance is at most radius, and +Inf otherwise. Both masks
+// compare the result against radius, so they decide every point as a
+// full NearestTSV scan would. A spatial index queried at a slightly
+// padded radius replaces the scan; the pad only admits candidates
+// whose squared-distance test could disagree with the exact Hypot by
+// round-off.
+func nearestTSVWithin(pl *geom.Placement, radius float64) func(p geom.Point) float64 {
+	scan := func(p geom.Point) float64 {
 		_, d := pl.NearestTSV(p)
-		return d <= radius
+		return d
+	}
+	n := len(pl.TSVs)
+	if n == 0 || !(radius > 0) {
+		return scan
+	}
+	pad := radius * (1 + 1e-9)
+	// Cells no smaller than the query radius, and few enough that the
+	// bucket count stays within about n however sparse the placement.
+	b := pl.Bounds(0)
+	cell := math.Max(pad, math.Max(b.W(), b.H())/math.Sqrt(float64(n)))
+	if !floats.IsFinite(cell) {
+		return scan // infinite radius, or non-finite centers
+	}
+	ix := spatial.NewIndex(pl.Centers(), cell)
+	return func(p geom.Point) float64 {
+		best := math.Inf(1)
+		ix.Near(p, pad, func(i int, _ float64) {
+			if d := ix.At(i).Dist(p); d < best {
+				best = d
+			}
+		})
+		return best
 	}
 }
 

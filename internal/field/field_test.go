@@ -3,6 +3,7 @@ package field
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -122,5 +123,62 @@ func TestGridSpacingNotDivisible(t *testing.T) {
 	}
 	if math.Abs(sumX) > 1e-9 {
 		t.Error("points not centered")
+	}
+}
+
+// TestMasksMatchNearestScan pins the index-backed masks against the
+// brute-force nearest-center scan they replace: random placements,
+// points on and one ulp either side of the footprint and critical
+// radii, a placement with a non-finite center (the scan fallback), and
+// the empty placement, which keeps every point outside.
+func TestMasksMatchNearestScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const rp, crit = 2.5, 3.3
+	check := func(pl *geom.Placement, pts []geom.Point) {
+		t.Helper()
+		outside, within := OutsideTSVs(pl, rp), WithinAnyTSV(pl, crit)
+		for _, p := range pts {
+			_, d := pl.NearestTSV(p)
+			if got, want := outside(p), d >= rp; got != want {
+				t.Fatalf("OutsideTSVs(%v) = %v, scan says %v (d=%.17g)", p, got, want, d)
+			}
+			if got, want := within(p), d <= crit; got != want {
+				t.Fatalf("WithinAnyTSV(%v) = %v, scan says %v (d=%.17g)", p, got, want, d)
+			}
+		}
+	}
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(60)
+		span := 10 + rng.Float64()*200
+		var centers []geom.Point
+		for len(centers) < n {
+			centers = append(centers, geom.Pt(rng.Float64()*span, rng.Float64()*span*rng.Float64()))
+		}
+		pl := geom.NewPlacement(centers...)
+		var pts []geom.Point
+		for i := 0; i < 400; i++ {
+			pts = append(pts, geom.Pt(rng.Float64()*span*1.2-0.1*span, rng.Float64()*span*1.2-0.1*span))
+		}
+		for _, c := range centers {
+			ang := rng.Float64() * 2 * math.Pi
+			for _, r := range []float64{rp, crit} {
+				for _, rr := range []float64{math.Nextafter(r, 0), r, math.Nextafter(r, 4)} {
+					pts = append(pts, geom.Pt(c.X+rr, c.Y), geom.Pt(c.X, c.Y-rr),
+						geom.Pt(c.X+rr*math.Cos(ang), c.Y+rr*math.Sin(ang)))
+				}
+			}
+			pts = append(pts, c)
+		}
+		check(pl, pts)
+	}
+	nonFinite := geom.NewPlacement(geom.Pt(0, 0), geom.Pt(math.NaN(), 1), geom.Pt(8, 0))
+	check(nonFinite, []geom.Point{geom.Pt(1, 0), geom.Pt(4, 0), geom.Pt(8, 3)})
+	empty := geom.NewPlacement()
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1e6, -3)}
+	check(empty, pts)
+	for _, p := range pts {
+		if !OutsideTSVs(empty, rp)(p) {
+			t.Errorf("empty placement must keep %v outside", p)
+		}
 	}
 }

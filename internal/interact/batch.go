@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"tsvstress/internal/geom"
+	"tsvstress/internal/potential"
 	"tsvstress/internal/tensor"
 )
 
@@ -27,16 +28,25 @@ import (
 // how many rounds the victim participates in — the structural speedup
 // that makes dense full-chip Stage II tractable.
 //
+// Inside the victim (liner ring and body) the transmitted-minus-incident
+// field of a round is, per harmonic, its incident coefficient
+// s_m = b̂_{m−2} times a unit radial profile P_m(ρ) that every round
+// shares (Model.netLiner, Model.netCore), so the same identity
+// aggregates it into C_m = Σ_r s_m^r cos(mψ_r) and
+// S_m = Σ_r s_m^r sin(mψ_r); see interiorAt.
+//
 // A VictimRounds is immutable after Pack and safe for concurrent use.
 type VictimRounds struct {
+	mo         *Model // shared interior unit profiles
 	vicX, vicY float64
 	rPrime     float64
 	nm         int // harmonics (MMax−1)
 	// Aggregated coefficients, each of length nm (index m−2):
 	// ca[i] = Σ_r a_i^r cos(mψ_r), sa[i] = Σ_r a_i^r sin(mψ_r),
-	// cb/sb likewise for b. Backed by one slab.
-	ca, sa, cb, sb []float64
-	evs            []PairEval // fallback path for points inside the victim
+	// cb/sb likewise for b, ci/si likewise for the incident
+	// coefficients s_i^r. Backed by one slab.
+	ca, sa, cb, sb, ci, si []float64
+	evs                    []PairEval // per-round path for the victim center
 
 	// SoA complex-Horner state for AccumulateTile (see the derivation
 	// there). horner is step-major, one hornerStep per harmonic index
@@ -79,19 +89,30 @@ const truncTolMPa = 2e-12
 // share one victim center (as the per-victim lists built by the
 // analyzer do). Degenerate rounds (non-positive pitch) contribute zero
 // and are dropped. Returns nil when no evaluable round remains.
+//
+// When every round is evaluable the pack aliases evs instead of
+// copying it: callers must not mutate the slice afterwards.
 func PackRounds(evs []PairEval) *VictimRounds {
-	kept := make([]PairEval, 0, len(evs))
-	for _, pe := range evs {
-		if pe.d > 0 {
-			kept = append(kept, pe)
+	kept := evs
+	for k := range evs {
+		if !(evs[k].d > 0) {
+			kept = make([]PairEval, 0, len(evs))
+			for _, pe := range evs {
+				if pe.d > 0 {
+					kept = append(kept, pe)
+				}
+			}
+			break
 		}
 	}
 	if len(kept) == 0 {
 		return nil
 	}
+	mo := kept[0].model
 	nm := len(kept[0].a)
-	slab := make([]float64, 4*nm)
+	slab := make([]float64, 6*nm)
 	vr := &VictimRounds{
+		mo:     mo,
 		vicX:   kept[0].vic.X,
 		vicY:   kept[0].vic.Y,
 		rPrime: kept[0].rPrime,
@@ -100,19 +121,25 @@ func PackRounds(evs []PairEval) *VictimRounds {
 		sa:     slab[1*nm : 2*nm],
 		cb:     slab[2*nm : 3*nm],
 		sb:     slab[3*nm : 4*nm],
+		ci:     slab[4*nm : 5*nm],
+		si:     slab[5*nm : 6*nm],
 		evs:    kept,
 	}
-	for _, pe := range kept {
+	for k := range kept {
+		pe := &kept[k]
 		// cos/sin(mψ) recurrence over the round's axis angle ψ,
 		// starting at m = 2.
 		c1, s1 := pe.axX, pe.axY
 		cm := c1*c1 - s1*s1
 		sm := 2 * s1 * c1
 		for i := 0; i < nm; i++ {
+			inc := potential.IncidentCoeff(i, mo.Lame.K, pe.rPrime, pe.d)
 			vr.ca[i] += pe.a[i] * cm
 			vr.sa[i] += pe.a[i] * sm
 			vr.cb[i] += pe.b[i] * cm
 			vr.sb[i] += pe.b[i] * sm
+			vr.ci[i] += inc * cm
+			vr.si[i] += inc * sm
 			cm, sm = cm*c1-sm*s1, sm*c1+cm*s1
 		}
 	}
@@ -202,12 +229,7 @@ func (vr *VictimRounds) AccumulateAt(px, py float64, acc *tensor.Stress) {
 	relY := py - vr.vicY
 	r := math.Hypot(relX, relY)
 	if r < vr.rPrime {
-		// Interior of the victim footprint: rare for device-layer
-		// points; take the general transmitted-field path per round.
-		p := geom.Pt(px, py)
-		for k := range vr.evs {
-			*acc = acc.Add(vr.evs[k].StressAt(p))
-		}
+		*acc = acc.Add(vr.interiorAt(px, py))
 		return
 	}
 	cphi, sphi := relX/r, relY/r
@@ -238,16 +260,79 @@ func (vr *VictimRounds) AccumulateAt(px, py float64, acc *tensor.Stress) {
 	acc.XY += (rr-tt)*cs + rt*(c2-s2)
 }
 
-// interiorAt is the cold path of AccumulateTile for points inside the
-// victim footprint: the general transmitted-field evaluation per round,
-// identical to AccumulateAt's interior branch.
+// interiorAt returns the summed stress of all packed rounds at a point
+// inside the victim footprint (r < R′): the transmitted field minus the
+// aggressors' incident field, as Model.PairStress defines it per round.
+//
+// With ρ = r/R′ and θ_r = φ − ψ_r, round r contributes per harmonic
+// s_m^r·P_m(ρ)·cos(mθ_r) to σrr and σθθ and s_m^r·P_m(ρ)·sin(mθ_r) to
+// σrθ, where P_m are the unit liner (ρ ≥ k) or body (ρ < k) profiles
+// minus the unit incident profile. Expanding θ_r as for the exterior
+// series leaves the point-independent aggregates C_m = ci, S_m = si:
+//
+//	Σ_r s_m^r cos(mθ_r) = cos(mφ)·C_m + sin(mφ)·S_m
+//	Σ_r s_m^r sin(mθ_r) = sin(mφ)·C_m − cos(mφ)·S_m
+//
+// so a point costs O(MMax) with iterated powers of ρ and a cos/sin(mφ)
+// recurrence, whatever the round count, and one polar→Cartesian
+// rotation. ρ and the liner/body split are computed as PairStress
+// computes them. At the exact center PairStress evaluates each round
+// at a tiny offset along its own axis, which does not aggregate; that
+// single point keeps the per-round path.
+//
+//tsvlint:allocfree
 func (vr *VictimRounds) interiorAt(px, py float64) tensor.Stress {
-	p := geom.Pt(px, py)
-	var s tensor.Stress
-	for k := range vr.evs {
-		s = s.Add(vr.evs[k].StressAt(p))
+	relX := px - vr.vicX
+	relY := py - vr.vicY
+	r := math.Hypot(relX, relY)
+	if r == 0 {
+		p := geom.Pt(px, py)
+		var s tensor.Stress
+		for k := range vr.evs {
+			s = s.Add(vr.evs[k].StressAt(p))
+		}
+		return s
 	}
-	return s
+	rho := r / vr.rPrime
+	// The body has no negative-power terms (a_{−m} = b_{−m−2} = 0):
+	// zero inv keeps them at zero without overflowing ρ^{−m} near the
+	// center.
+	units, inv := vr.mo.netLiner, 1/rho
+	if rho < vr.mo.Struct.K() {
+		units, inv = vr.mo.netCore, 0
+	}
+	units = units[:vr.nm]
+	ci, si := vr.ci[:len(units)], vr.si[:len(units)]
+	pp2 := 1.0      // ρ^{m−2}, starting at m = 2
+	pp := rho * rho // ρ^m
+	pn := inv * inv // ρ^{−m}
+	pn2 := pn * pn  // ρ^{−m−2}
+	cphi, sphi := relX/r, relY/r
+	cm := cphi*cphi - sphi*sphi
+	sm := 2 * sphi * cphi
+	var rr, tt, rt float64
+	for i := range units {
+		c := &units[i]
+		fm := float64(i + 2)
+		ap, an := c.APos*pp, c.ANeg*pn
+		bp, bn := c.BPos*pp2, c.BNeg*pn2
+		gc := cm*ci[i] + sm*si[i] // Σ_r s cos(mθ_r)
+		gs := sm*ci[i] - cm*si[i] // Σ_r s sin(mθ_r)
+		rr += ((2-fm)*ap + (2+fm)*an - bp - bn) * gc
+		tt += ((2+fm)*ap + (2-fm)*an + bp + bn) * gc
+		rt += (fm*(ap+an) + bp - bn) * gs
+		pp *= rho
+		pp2 *= rho
+		pn *= inv
+		pn2 *= inv
+		cm, sm = cm*cphi-sm*sphi, sm*cphi+cm*sphi
+	}
+	c2, s2, cs := cphi*cphi, sphi*sphi, cphi*sphi
+	return tensor.Stress{
+		XX: rr*c2 - 2*rt*cs + tt*s2,
+		YY: rr*s2 + 2*rt*cs + tt*c2,
+		XY: (rr-tt)*cs + rt*(c2-s2),
+	}
 }
 
 // AccumulateTile adds this victim's interactive stress into the tile
@@ -280,8 +365,9 @@ func (vr *VictimRounds) interiorAt(px, py float64) tensor.Stress {
 // single compare.
 //
 // px, py, sxx, syy, sxy must have equal length. Points inside the
-// victim footprint take the per-round interior path (the classification
-// reproduces AccumulateAt's Hypot compare exactly via rp2Guard).
+// victim footprint take the aggregated interior path, interiorAt (the
+// classification reproduces AccumulateAt's Hypot compare exactly via
+// rp2Guard).
 func (vr *VictimRounds) AccumulateTile(px, py, sxx, syy, sxy []float64, pd2 float64) {
 	n := len(px)
 	if len(py) != n || len(sxx) != n || len(syy) != n || len(sxy) != n {

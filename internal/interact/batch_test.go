@@ -75,6 +75,9 @@ func TestPackRoundsMatchesPerRoundSum(t *testing.T) {
 	if vr.Vic() != vic {
 		t.Fatalf("Vic = %v", vr.Vic())
 	}
+	if &vr.evs[0] != &evs[0] {
+		t.Error("an all-evaluable round set must be aliased, not copied")
+	}
 	pts := []geom.Point{
 		geom.Pt(4, 3), geom.Pt(-6, 1), geom.Pt(0.5, -0.2) /* inside victim */, geom.Pt(20, 20),
 		geom.Pt(3.0001, 0), geom.Pt(0, 0), // footprint boundary region and center
@@ -107,5 +110,10 @@ func TestPackRoundsEmpty(t *testing.T) {
 	deg := mo.NewPairEval(geom.Pt(0, 0), geom.Pt(0, 0)) // zero pitch
 	if vr := PackRounds([]PairEval{deg}); vr != nil {
 		t.Error("all-degenerate round set must pack to nil")
+	}
+	mixed := []PairEval{deg, mo.NewPairEval(geom.Pt(0, 0), geom.Pt(10, 0))}
+	vr := PackRounds(mixed)
+	if vr == nil || vr.NumRounds() != 1 || &vr.evs[0] == &mixed[1] {
+		t.Error("degenerate rounds must be dropped from a private copy")
 	}
 }

@@ -54,6 +54,11 @@ type Model struct {
 	MMax int
 
 	units []unitSol // index m−2
+	// Transmitted-minus-incident unit coefficients of the liner ring
+	// and the body (index m−2): the interior field of a round is its
+	// incident coefficient b̂_{m−2} times these profiles, the same
+	// difference PairPolar forms per round. Shared by every victim.
+	netLiner, netCore []potential.HarmCoeffs
 
 	// Pitch-keyed cache of scattered-coefficient slices shared by every
 	// pair round at the same pitch (the transfer coefficients depend on
@@ -105,6 +110,9 @@ func NewPlane(s material.Structure, mmax int, plane material.Plane) (*Model, err
 			return nil, fmt.Errorf("interact: harmonic %d: %w", h, err)
 		}
 		m.units = append(m.units, u)
+		unitInc := potential.HarmCoeffs{BPos: -1}
+		m.netLiner = append(m.netLiner, u.liner.Add(unitInc))
+		m.netCore = append(m.netCore, u.core.Add(unitInc))
 	}
 	return m, nil
 }

@@ -93,8 +93,7 @@ func (pe *PairEval) StressAt(p geom.Point) tensor.Stress {
 	relY := p.Y - pe.vic.Y
 	r := math.Hypot(relX, relY)
 	if r < pe.rPrime {
-		// Interior of the victim: rare for device-layer points; use
-		// the general (transmitted-field) path.
+		// Interior of the victim: the general transmitted-field path.
 		return pe.model.PairStress(p, pe.vic, pe.agg)
 	}
 	// Global angle φ of the point and local angle θ = φ − ψ.
