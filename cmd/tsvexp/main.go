@@ -18,11 +18,9 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
-	"tsvstress/internal/cluster"
 	"tsvstress/internal/exp"
 	"tsvstress/internal/geom"
 	"tsvstress/internal/material"
@@ -40,7 +38,6 @@ func main() {
 		seed   = flag.Int64("seed", 2013, "seed for random placements")
 		bench  = flag.Bool("bench", false, "run only the full-chip map benchmark and write BENCH_fullchip.json")
 		agingF = flag.Bool("aging", false, "run the aging lifetime sweep and write AGING_curves.json (with -compare: golden-check two sweep records)")
-		fleet  = flag.String("cluster", "", "with -bench: run the cluster benchmark instead, against local:N in-process workers or a comma-separated worker fleet, and write BENCH_cluster.json")
 		cpuPro = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memPro = flag.String("memprofile", "", "write a heap profile at exit to this file")
 		cmp    = flag.Bool("compare", false, "with -bench: compare two benchmark JSON records (old new) instead of running; exits 1 on a >tolerance regression")
@@ -113,10 +110,6 @@ func main() {
 			time.Since(t0).Round(time.Millisecond), first.PitchUm, last.PitchUm,
 			first.MeanLifetimeSeconds, last.MeanLifetimeSeconds, first.MeanRisk, last.MeanRisk)
 		log.Printf("results written to %s", *outDir)
-		return
-	}
-	if *bench && *fleet != "" {
-		runClusterBench(*outDir, *fleet, *quick, *seed)
 		return
 	}
 	if *bench {
@@ -276,66 +269,6 @@ func main() {
 	}
 
 	log.Printf("results written to %s", *outDir)
-}
-
-// runClusterBench runs the sharded-cluster benchmark (DESIGN.md §14)
-// and writes BENCH_cluster.json. The fleet spec is either "local:N" —
-// N in-process workers splitting this machine's cores, so fleet sizes
-// compare at equal total core budget — or a comma-separated list of
-// running tsvworker addresses.
-func runClusterBench(outDir, fleet string, quick bool, seed int64) {
-	numPts := 250_000
-	if quick {
-		numPts = 25_000
-	}
-	var addrs []string
-	if n, ok := strings.CutPrefix(fleet, "local:"); ok {
-		count, err := strconv.Atoi(n)
-		if err != nil || count < 1 {
-			log.Fatalf("-cluster local:N needs N ≥ 1, got %q", fleet)
-		}
-		lw, err := cluster.StartLocalWorkers(count, cluster.WorkerOptions{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer lw.Stop()
-		addrs = lw.Addrs()
-	} else {
-		for _, a := range strings.Split(fleet, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		if len(addrs) == 0 {
-			log.Fatalf("-cluster %q names no workers", fleet)
-		}
-	}
-	log.Printf("bench: cluster map, 1000 TSVs, ~%d points, %d worker(s) ...", numPts, len(addrs))
-	t0 := time.Now()
-	r, err := exp.RunClusterBench(1000, numPts, seed, addrs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	f, err := os.Create(filepath.Join(outDir, "BENCH_cluster.json"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := exp.WriteClusterJSON(f, r); err != nil {
-		log.Fatal(err)
-	}
-	closeOut(f)
-	if r.SpeedupValid {
-		log.Printf("bench done in %v: single-process %.0f ms, 1 worker %.0f ms, %d workers %.0f ms (×%.2f), max |Δ| %.2g MPa",
-			time.Since(t0).Round(time.Millisecond), r.SingleProcessMillis, r.OneWorkerMillis, r.NumWorkers, r.ClusterMillis, r.Speedup, r.MaxAbsDiffMPa)
-	} else {
-		// The workers shared cores (host has fewer CPUs than the fleet),
-		// so a speedup headline would measure scheduler overhead, not
-		// scaling; the JSON carries speedup_valid: false for the same
-		// reason.
-		log.Printf("bench done in %v: single-process %.0f ms, 1 worker %.0f ms, %d workers %.0f ms (speedup not meaningful: %d workers > %d host CPUs), max |Δ| %.2g MPa",
-			time.Since(t0).Round(time.Millisecond), r.SingleProcessMillis, r.OneWorkerMillis, r.NumWorkers, r.ClusterMillis, r.NumWorkers, r.HostCPUs, r.MaxAbsDiffMPa)
-	}
-	log.Printf("results written to %s", outDir)
 }
 
 // outf writes formatted report text, treating a write failure (full

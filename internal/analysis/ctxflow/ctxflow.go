@@ -17,9 +17,8 @@
 //     notifications) is out of scope by construction.
 //
 // Test files are exempt. Reachability is static-call reachability —
-// dynamic dispatch does not propagate — so interface seams like
-// incr.TileEvaluator rely on their concrete implementations being
-// scoped too (cluster.SessionEvaluator is).
+// dynamic dispatch does not propagate — so an interface seam on a
+// request path needs its concrete implementations scoped too.
 package ctxflow
 
 import (
@@ -72,7 +71,7 @@ func NewAnalyzer(cfg Config) *analysis.Analyzer {
 // Analyzer is ctxflow scoped to this repository's serving tiers and
 // evaluation kernels.
 var Analyzer = NewAnalyzer(Config{
-	ScopeSuffixes: []string{"internal/serve", "internal/cluster", "internal/incr", "internal/gateway"},
+	ScopeSuffixes: []string{"internal/serve", "internal/incr", "internal/gateway"},
 	Targets: []Target{
 		{PkgSuffix: "internal/core", Name: "MapInto"},
 		{PkgSuffix: "internal/core", Name: "EvalTiles"},

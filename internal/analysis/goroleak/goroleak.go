@@ -14,8 +14,8 @@
 //     bounds its own lifetime.
 //
 // Anything else is fire-and-forget: nothing can wait for it, stop it,
-// or even learn it is stuck — the serve.Close drain and the cluster
-// heartbeat both show how cheap the signal is to provide. Goroutines
+// or even learn it is stuck — the serve.Close drain and the gateway
+// health loop both show how cheap the signal is to provide. Goroutines
 // whose lifetime is guaranteed by an external mechanism the analyzer
 // cannot see (a listener whose Close terminates Serve) carry a
 // //tsvlint:ignore goroleak annotation with that justification.
@@ -54,10 +54,10 @@ func NewAnalyzer(cfg Config) *analysis.Analyzer {
 	}
 }
 
-// Analyzer is goroleak scoped to the serving, cluster, aging and
+// Analyzer is goroleak scoped to the serving, gateway, aging and
 // resilience tiers.
 var Analyzer = NewAnalyzer(Config{
-	ScopeSuffixes: []string{"internal/serve", "internal/cluster", "internal/aging", "internal/resilience", "internal/gateway"},
+	ScopeSuffixes: []string{"internal/serve", "internal/aging", "internal/resilience", "internal/gateway"},
 })
 
 func run(cfg Config, pass *analysis.Pass) error {

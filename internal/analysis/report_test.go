@@ -19,7 +19,7 @@ func reportFindings(baseDir string) []Finding {
 		},
 		{
 			Analyzer: "goroleak",
-			Pos:      token.Position{Filename: filepath.Join(baseDir, "internal/cluster/local.go"), Line: 48, Column: 2},
+			Pos:      token.Position{Filename: filepath.Join(baseDir, "internal/gateway/gateway.go"), Line: 181, Column: 2},
 			Message:  "goroutine has no visible join or cancel path",
 		},
 	}

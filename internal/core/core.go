@@ -72,22 +72,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Resolved returns the options with every zero field replaced by its
-// default — the exact configuration New would run under. A cluster
-// coordinator ships resolved options so every worker solves the same
-// models regardless of its own defaults; Workers stays as given (0 lets
-// each process size its own parallelism without affecting values).
-func (o Options) Resolved() Options {
-	w := o.Workers
-	o = o.withDefaults()
-	o.Workers = w
-	return o
-}
-
 // GatherCutoff returns the per-tile gather radius (µm) MapInto would
 // partition with for the given mode: the largest cutoff among the
-// stages the mode evaluates. It is the cutoff a remote evaluator must
-// build its Tiling with to reproduce MapInto's partition.
+// stages the mode evaluates. It is the cutoff a caller must build its
+// Tiling with to reproduce MapInto's partition.
 func (o Options) GatherCutoff(mode Mode) float64 {
 	o = o.withDefaults()
 	cutoff := 0.0

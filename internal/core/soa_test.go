@@ -109,6 +109,9 @@ func stressDiff(a, b tensor.Stress) float64 {
 // Workers: 1 keeps goroutine spawning out of the measurement;
 // AllocsPerRun pins GOMAXPROCS to 1 anyway.
 func TestMapIntoZeroAllocSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race builds: sync.Pool.Put drops one item in four on purpose, so pooled Tiling/tileScratch/tileCursor are re-made; CI runs this test without -race")
+	}
 	st := material.Baseline(material.BCB)
 	rng := rand.New(rand.NewSource(7))
 	an, err := New(st, randomPlacement(rng, st, 4, 4), Options{Workers: 1})

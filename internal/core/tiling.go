@@ -30,7 +30,6 @@ type Tiling struct {
 	order  []int32 // point indices sorted by tile
 	tiles  []tile
 	half   float64 // tile half-diagonal
-	cutoff float64 // the gather-radius argument build was called with
 	n      int     // number of partitioned points
 }
 
@@ -65,14 +64,6 @@ func (tl *Tiling) NumTiles() int { return len(tl.tiles) }
 // radius.
 func (tl *Tiling) HalfDiag() float64 { return tl.half }
 
-// Cutoff returns the gather-radius cutoff (µm) the tiling was built
-// for. Two
-// tilings built over the same point slice with the same cutoff are
-// identical (the partition is deterministic), which is what lets a
-// cluster worker rebuild the coordinator's tiling from (points, cutoff)
-// alone and exchange bare tile ids over the wire.
-func (tl *Tiling) Cutoff() float64 { return tl.cutoff }
-
 // TileCenter returns the center of tile id.
 func (tl *Tiling) TileCenter(id int) geom.Point {
 	t := tl.tiles[id]
@@ -92,7 +83,6 @@ func (tl *Tiling) TilePoints(id int) []int32 {
 // MapInto path rebuilds one scratch Tiling per call).
 func (tl *Tiling) build(pts []geom.Point, cutoff float64) {
 	tl.n = len(pts)
-	tl.cutoff = cutoff
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	// Plain compares: the points are pre-validated finite, so the

@@ -9,7 +9,7 @@ const oldBench = `{
   "num_points": 100000, "workers": 1,
   "full_ms": 500.0, "ls_ms": 100.0,
   "full_ns_per_point": 2000.0, "ls_ns_per_point": 400.0,
-  "cluster_points_per_sec": 50000.0,
+  "full_points_per_sec": 50000.0,
   "generated_at_unix": 1700000000
 }`
 
@@ -36,7 +36,7 @@ func TestCompareImprovement(t *testing.T) {
 	deltas := compare(t, `{
 	  "full_ms": 250.0, "ls_ms": 90.0,
 	  "full_ns_per_point": 1000.0, "ls_ns_per_point": 360.0,
-	  "cluster_points_per_sec": 100000.0
+	  "full_points_per_sec": 100000.0
 	}`, 0.10)
 	if len(deltas) != 5 {
 		t.Fatalf("got %d deltas, want 5 (counts and timestamps must not be compared)", len(deltas))
@@ -52,10 +52,10 @@ func TestCompareDirectionAware(t *testing.T) {
 	deltas := compare(t, `{
 	  "full_ms": 750.0, "ls_ms": 100.0,
 	  "full_ns_per_point": 3000.0, "ls_ns_per_point": 400.0,
-	  "cluster_points_per_sec": 25000.0
+	  "full_points_per_sec": 25000.0
 	}`, 0.10)
 	r := regressions(deltas)
-	want := []string{"cluster_points_per_sec", "full_ms", "full_ns_per_point"}
+	want := []string{"full_ms", "full_ns_per_point", "full_points_per_sec"}
 	if len(r) != len(want) {
 		t.Fatalf("regressions %v, want %v", r, want)
 	}
@@ -71,7 +71,7 @@ func TestCompareToleranceAbsorbsNoise(t *testing.T) {
 	noisy := `{
 	  "full_ms": 540.0, "ls_ms": 100.0,
 	  "full_ns_per_point": 2160.0, "ls_ns_per_point": 400.0,
-	  "cluster_points_per_sec": 50000.0
+	  "full_points_per_sec": 50000.0
 	}`
 	if r := regressions(compare(t, noisy, 0.10)); len(r) != 0 {
 		t.Fatalf("8%% slip beyond 10%% tolerance: %v", r)
@@ -91,7 +91,7 @@ func TestWriteBenchDeltas(t *testing.T) {
 	deltas := compare(t, `{
 	  "full_ms": 750.0, "ls_ms": 90.0,
 	  "full_ns_per_point": 3000.0, "ls_ns_per_point": 360.0,
-	  "cluster_points_per_sec": 50000.0
+	  "full_points_per_sec": 50000.0
 	}`, 0.10)
 	var sb strings.Builder
 	n, err := WriteBenchDeltas(&sb, deltas)

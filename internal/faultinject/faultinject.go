@@ -41,17 +41,8 @@ type Fault struct {
 	// the Nth operation (e.g. "fail the 3rd journal append").
 	After int
 	// Times disarms the fault after this many firings; 0 means it
-	// stays armed until Clear/Reset. Firings a Prob gate passes over do
-	// not count.
+	// stays armed until Clear/Reset.
 	Times int
-	// Prob, when in (0, 1), applies the fault to each firing with this
-	// probability — the flaky-network drill. The decisions come from a
-	// deterministic splitmix64 stream over Seed, so a single-threaded
-	// caller sees an exactly reproducible fault sequence. 0 (and ≥1)
-	// means the fault always applies.
-	Prob float64
-	// Seed selects the Prob decision stream (default 1).
-	Seed uint64
 }
 
 // ErrInjected is the default error reported by an armed site whose
@@ -62,7 +53,6 @@ type armed struct {
 	f       Fault
 	skipped int
 	fired   int
-	draws   uint64 // Prob decisions taken so far (the stream position)
 }
 
 var (
@@ -116,17 +106,6 @@ func take(site string) *Fault {
 		a.skipped++
 		return nil
 	}
-	if a.f.Prob > 0 && a.f.Prob < 1 {
-		seed := a.f.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		a.draws++
-		u := float64(splitmix64(seed^(a.draws*0x9e3779b97f4a7c15))>>11) / (1 << 53)
-		if u >= a.f.Prob {
-			return nil // the coin came up clean; pass through
-		}
-	}
 	a.fired++
 	if a.f.Times > 0 && a.fired >= a.f.Times {
 		delete(sites, site)
@@ -134,15 +113,6 @@ func take(site string) *Fault {
 	}
 	f := a.f
 	return &f
-}
-
-// splitmix64 drives the Prob decision stream: bijective avalanche over
-// 64 bits, deterministic for a given seed and draw index.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Fire observes the fault armed at site: it sleeps Delay, panics with

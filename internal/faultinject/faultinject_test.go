@@ -73,46 +73,6 @@ func TestAfterAndTimes(t *testing.T) {
 	}
 }
 
-func TestProbFaultDeterministicRate(t *testing.T) {
-	defer Reset()
-	// The same seed must reproduce the exact same fault sequence.
-	runs := make([][]bool, 2)
-	for r := range runs {
-		Set("flaky", Fault{Prob: 0.3, Seed: 42})
-		for i := 0; i < 200; i++ {
-			runs[r] = append(runs[r], Fire("flaky") != nil)
-		}
-		Reset()
-	}
-	injected := 0
-	for i := range runs[0] {
-		if runs[0][i] != runs[1][i] {
-			t.Fatalf("firing %d differs across identically seeded runs", i)
-		}
-		if runs[0][i] {
-			injected++
-		}
-	}
-	// 200 draws at p=0.3: the deterministic stream lands near 60.
-	if injected < 30 || injected > 90 {
-		t.Fatalf("injected %d of 200 at Prob 0.3", injected)
-	}
-	// Times only counts firings the Prob gate let through.
-	Set("flaky", Fault{Prob: 0.5, Seed: 7, Times: 3})
-	hits := 0
-	for i := 0; i < 1000 && hits < 3; i++ {
-		if Fire("flaky") != nil {
-			hits++
-		}
-	}
-	if hits != 3 {
-		t.Fatalf("Times-limited Prob fault hit %d times", hits)
-	}
-	if Fire("flaky") != nil {
-		t.Fatal("Prob fault still armed after Times firings")
-	}
-}
-
 func TestShortWriteClamps(t *testing.T) {
 	defer Reset()
 	Set("w", Fault{ShortWrite: 100})

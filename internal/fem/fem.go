@@ -50,9 +50,9 @@ type Options struct {
 	Plane material.Plane
 	// BoundaryDisp, when set, prescribes the Dirichlet boundary
 	// displacement field instead of the default analytic single-TSV
-	// far-field superposition. Used by the submodeling golden
-	// (SolveSubmodel) to drive fine local patches from a global
-	// solution.
+	// far-field superposition, so a local solve can be driven from an
+	// outer solution (submodeling; the polar patches of SolveSubmodel
+	// take the same hook through PolarPatchOptions).
 	BoundaryDisp func(p geom.Point) (ux, uy float64)
 }
 

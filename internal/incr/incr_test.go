@@ -43,6 +43,21 @@ func maxDiff(a, b tensor.Stress) float64 {
 	return d
 }
 
+// scratchMap evaluates the engine's current placement and points with
+// a from-scratch analyzer in the given mode.
+func scratchMap(t *testing.T, e *Engine, st material.Structure, mode core.Mode) []tensor.Stress {
+	t.Helper()
+	scratch, err := core.New(st, e.Placement(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]tensor.Stress, e.NumPoints())
+	if err := scratch.MapInto(context.Background(), want, e.Points(), mode); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 // checkParity compares the engine's map against a from-scratch analyzer
 // over the engine's current placement.
 func checkParity(t *testing.T, e *Engine, st material.Structure, tol float64) {
@@ -51,14 +66,7 @@ func checkParity(t *testing.T, e *Engine, st material.Structure, tol float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := core.New(st, e.Placement(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]tensor.Stress, e.NumPoints())
-	if err := scratch.MapInto(context.Background(), want, e.Points(), e.Mode()); err != nil {
-		t.Fatal(err)
-	}
+	want := scratchMap(t, e, st, e.Mode())
 	worst := 0.0
 	worstI := -1
 	for i := range want {
@@ -69,6 +77,35 @@ func checkParity(t *testing.T, e *Engine, st material.Structure, tol float64) {
 	if worst > tol {
 		t.Fatalf("incremental map differs from scratch by %g MPa at point %d %v (tol %g)",
 			worst, worstI, e.Points()[worstI], tol)
+	}
+}
+
+// checkDegradedParity runs a FlushDegraded on a Full session and checks
+// the map point by point: the tiles the flush re-evaluated (still dirty,
+// owing a full pass) must match a from-scratch LS map, every other tile
+// a from-scratch Full map.
+func checkDegradedParity(t *testing.T, e *Engine, st material.Structure, tol float64) {
+	t.Helper()
+	vals, err := e.FlushDegraded(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.Degraded() {
+		t.Fatal("FlushDegraded after edits did not mark the map degraded")
+	}
+	wantLS := scratchMap(t, e, st, core.ModeLS)
+	wantFull := scratchMap(t, e, st, core.ModeFull)
+	for id := 0; id < e.tiling.NumTiles(); id++ {
+		want, name := wantFull, "full"
+		if e.dirty[id] {
+			want, name = wantLS, "ls"
+		}
+		for _, i := range e.tiling.TilePoints(id) {
+			if d := maxDiff(vals[i], want[i]); d > tol {
+				t.Fatalf("degraded map differs from scratch %s by %g MPa at point %d %v (tol %g)",
+					name, d, i, e.Points()[i], tol)
+			}
+		}
 	}
 }
 
@@ -150,28 +187,43 @@ func TestEngineRejectsBadEdits(t *testing.T) {
 // random sequence of ≤20 edits followed by one Flush must match a fresh
 // MapInto over the final placement within 1e-9 MPa, in Full and LS
 // modes. Each iteration also flushes mid-sequence on a coin flip so
-// multi-flush sessions are covered.
+// multi-flush sessions are covered. The degraded case ends with a
+// FlushDegraded instead (LS values in the re-evaluated tiles, Full
+// elsewhere) and then heals with a regular Flush.
 func TestEngineEditSequenceParity(t *testing.T) {
-	for _, mode := range []core.Mode{core.ModeFull, core.ModeLS} {
-		for trial := 0; trial < 4; trial++ {
-			rng := rand.New(rand.NewSource(int64(100*int(mode) + trial)))
-			e, st := testSession(t, 50, int64(7+trial), 2, mode)
-			bounds := e.Placement().Bounds(10)
-			nEdits := 1 + rng.Intn(20)
-			applied := 0
-			for applied < nEdits {
-				if err := e.Apply(randomEdit(rng, e.Placement(), bounds)); err != nil {
-					continue // invalid random edit: retry with a new one
-				}
-				applied++
-				if rng.Intn(6) == 0 {
-					if _, err := e.Flush(context.Background()); err != nil {
-						t.Fatal(err)
+	for _, tc := range []struct {
+		name     string
+		mode     core.Mode
+		degraded bool
+	}{
+		{"full", core.ModeFull, false},
+		{"ls", core.ModeLS, false},
+		{"full-degraded", core.ModeFull, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for trial := 0; trial < 4; trial++ {
+				rng := rand.New(rand.NewSource(int64(100*int(tc.mode) + trial)))
+				e, st := testSession(t, 50, int64(7+trial), 2, tc.mode)
+				bounds := e.Placement().Bounds(10)
+				nEdits := 1 + rng.Intn(20)
+				applied := 0
+				for applied < nEdits {
+					if err := e.Apply(randomEdit(rng, e.Placement(), bounds)); err != nil {
+						continue // invalid random edit: retry with a new one
+					}
+					applied++
+					if rng.Intn(6) == 0 {
+						if _, err := e.Flush(context.Background()); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
+				if tc.degraded {
+					checkDegradedParity(t, e, st, 1e-9)
+				}
+				checkParity(t, e, st, 1e-9)
 			}
-			checkParity(t, e, st, 1e-9)
-		}
+		})
 	}
 }
 

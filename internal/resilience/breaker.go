@@ -1,3 +1,9 @@
+// Package resilience holds the circuit breaker the gateway tier keys
+// its replica routing on: a replica whose forwards or readiness probes
+// keep failing is taken out of the routing view, probed again after a
+// cool-down, and restored on the first success. It is stdlib-only and
+// takes an injectable clock, so tests drive the state machine without
+// sleeping. DESIGN.md §18 documents the policy.
 package resilience
 
 import (
