@@ -9,6 +9,9 @@ package tsvstress
 import (
 	"math"
 	"testing"
+
+	"tsvstress/internal/spatial"
+	"tsvstress/internal/superpose"
 )
 
 func benchPlacement(b *testing.B) *Placement {
@@ -31,16 +34,20 @@ func BenchmarkAblationTableLS(b *testing.B) {
 }
 
 // BenchmarkAblationExactLS measures Stage I with exact analytical
-// evaluation instead of the table.
+// evaluation instead of the table: the same superposition and spatial
+// query as the analyzer's StressLS, on an LS engine built without its
+// look-up table.
 func BenchmarkAblationExactLS(b *testing.B) {
-	an, err := NewAnalyzer(Baseline(BCB), benchPlacement(b), AnalyzerOptions{Workers: 1, ExactLS: true})
+	pl := benchPlacement(b)
+	ls, err := superpose.New(Baseline(BCB), superpose.Options{Exact: true})
 	if err != nil {
 		b.Fatal(err)
 	}
+	idx := spatial.NewIndex(pl.Centers(), ls.Cutoff())
 	p := Pt(5, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = an.StressLS(p)
+		_ = ls.StressAt(p, idx)
 	}
 }
 

@@ -31,10 +31,6 @@ import (
 // workers steal whatever tile is next regardless of cost imbalance, and
 // every worker owns one scratch buffer set reused across its tiles.
 
-// pointwiseBatchThreshold is the point count below which tiling
-// overhead is not worth it and Map falls back to the pointwise path.
-const pointwiseBatchThreshold = 32
-
 // maxTileGridDim caps the tile grid along either axis so pathological
 // extents cannot blow up the counting-sort arrays; the tile size grows
 // instead.
@@ -60,8 +56,6 @@ type tileScratch struct {
 	lsIdx    []int32
 	vicIdx   []int32
 	lsX, lsY []float64
-	vicX     []float64
-	vicY     []float64
 	rounds   []*interact.VictimRounds
 
 	// SoA lanes, one slot per tile point in tile (order) position:
@@ -120,9 +114,6 @@ func (a *Analyzer) MapInto(ctx context.Context, dst []tensor.Stress, pts []geom.
 	if len(pts) == 0 {
 		return nil
 	}
-	if len(pts) <= pointwiseBatchThreshold {
-		return a.mapPointwise(ctx, dst, pts, mode)
-	}
 	return a.mapBatched(ctx, dst, pts, mode)
 }
 
@@ -150,19 +141,13 @@ func (a *Analyzer) getTileScratch() *tileScratch {
 }
 
 // evalTile gathers the tile's candidate lists once and evaluates every
-// tile point against them, through the SoA lane kernel by default or
-// the scalar oracle under Options.ScalarKernel (ExactLS also forces the
-// scalar Stage I path: there is no radial table to inline).
+// tile point against them through the SoA lane kernel.
 //
 //tsvlint:allocfree
 func (a *Analyzer) evalTile(dst []tensor.Stress, pts []geom.Point, order []int32, t tile, halfDiag float64, doLS, doPair bool, ts *tileScratch) {
 	ls2 := a.opt.LSCutoff * a.opt.LSCutoff
 	pd2 := a.opt.PairDistCutoff * a.opt.PairDistCutoff
 	a.gatherTile(t, halfDiag, doLS, doPair, ts)
-	if a.opt.ScalarKernel || (doLS && a.lsRR == nil) {
-		a.evalTileScalar(dst, pts, order, t, ls2, pd2, doLS, doPair, ts)
-		return
-	}
 	a.evalTileSoA(dst, pts, order, t, ls2, pd2, doLS, doPair, ts)
 }
 
@@ -185,71 +170,12 @@ func (a *Analyzer) gatherTile(t tile, halfDiag float64, doLS, doPair bool, ts *t
 	}
 	if doPair {
 		ts.vicIdx = a.idx.AppendNear(ts.vicIdx[:0], center, a.opt.PairDistCutoff+halfDiag+tileSlack)
-		ts.vicX, ts.vicY, ts.rounds = ts.vicX[:0], ts.vicY[:0], ts.rounds[:0]
+		ts.rounds = ts.rounds[:0]
 		for _, j := range ts.vicIdx {
-			vr := a.victimRounds[j]
-			if vr == nil {
-				continue
-			}
-			c := a.idx.At(int(j))
-			ts.vicX = append(ts.vicX, c.X)
-			ts.vicY = append(ts.vicY, c.Y)
-			ts.rounds = append(ts.rounds, vr)
-		}
-	}
-}
-
-// evalTileScalar is the pre-SoA point-outer tile kernel, retained as
-// the parity oracle for the lane kernels (Options.ScalarKernel) and as
-// the Stage I path of ExactLS mode. The differential property test
-// pins the SoA path against it at ≤1e-9 MPa.
-//
-//tsvlint:allocfree
-func (a *Analyzer) evalTileScalar(dst []tensor.Stress, pts []geom.Point, order []int32, t tile, ls2, pd2 float64, doLS, doPair bool, ts *tileScratch) {
-	lsX, lsY := ts.lsX, ts.lsY
-	vicX, vicY, rounds := ts.vicX, ts.vicY, ts.rounds
-	for _, oi := range order[t.lo:t.hi] {
-		p := pts[oi]
-		var s tensor.Stress
-		if doLS {
-			var sxx, syy, sxy float64
-			for k := range lsX {
-				dx := p.X - lsX[k]
-				dy := p.Y - lsY[k]
-				d2 := dx*dx + dy*dy
-				if d2 > ls2 {
-					continue
-				}
-				if d2 == 0 {
-					// Point at a TSV center: uniform body stress, no
-					// rotation (matches the pointwise r == 0 branch).
-					pol := a.LS.Polar(0)
-					sxx += pol.RR
-					syy += pol.TT
-					continue
-				}
-				r := math.Sqrt(d2)
-				pol := a.LS.Polar(r)
-				cphi, sphi := dx/r, dy/r
-				c2, s2, cs := cphi*cphi, sphi*sphi, cphi*sphi
-				// σrθ ≡ 0 for the axisymmetric single-TSV field.
-				sxx += pol.RR*c2 + pol.TT*s2
-				syy += pol.RR*s2 + pol.TT*c2
-				sxy += (pol.RR - pol.TT) * cs
-			}
-			s.XX, s.YY, s.XY = sxx, syy, sxy
-		}
-		if doPair {
-			for k := range vicX {
-				dx := p.X - vicX[k]
-				dy := p.Y - vicY[k]
-				if dx*dx+dy*dy > pd2 {
-					continue
-				}
-				rounds[k].AccumulateAt(p.X, p.Y, &s)
+			if vr := a.victimRounds[j]; vr != nil {
+				ts.rounds = append(ts.rounds, vr)
 			}
 		}
-		dst[oi] = s
 	}
 }
 
@@ -261,10 +187,11 @@ func (a *Analyzer) evalTileScalar(dst []tensor.Stress, pts []geom.Point, order [
 // lanes) with the rotation rewritten on 1/d², so a contributing
 // candidate costs one sqrt and one division and no method calls; the
 // d² compares, the d² == 0 branch and the knot clamping reproduce the
-// scalar kernel's inclusion decisions exactly. Stage II dispatches one
-// AccumulateTile lane sweep per victim (see interact.VictimRounds).
-// Per-point results differ from the scalar oracle only in round-off
-// and the bounded Stage II truncation — the parity budget stays 1e-9.
+// per-point evaluators' inclusion decisions and table look-up exactly.
+// Stage II dispatches one AccumulateTile lane sweep per victim (see
+// interact.VictimRounds). Per-point results differ from the per-point
+// oracle (StressLS, Interactive, StressAt) only in round-off and the
+// bounded Stage II truncation — the parity budget stays 1e-9 MPa.
 //
 //tsvlint:allocfree
 func (a *Analyzer) evalTileSoA(dst []tensor.Stress, pts []geom.Point, order []int32, t tile, ls2, pd2 float64, doLS, doPair bool, ts *tileScratch) {

@@ -44,18 +44,14 @@ func fullChipSetup(b *testing.B, masked bool) (*Analyzer, []geom.Point) {
 	return a, pts
 }
 
-func benchMap(b *testing.B, mode Mode, pointwise, masked bool) {
+func benchMap(b *testing.B, mode Mode, masked bool) {
 	a, pts := fullChipSetup(b, masked)
 	dst := make([]tensor.Stress, len(pts))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if pointwise {
-			a.mapPointwise(context.Background(), dst, pts, mode)
-		} else {
-			if err := a.MapInto(context.Background(), dst, pts, mode); err != nil {
-				b.Fatal(err)
-			}
+		if err := a.MapInto(context.Background(), dst, pts, mode); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
@@ -64,15 +60,12 @@ func benchMap(b *testing.B, mode Mode, pointwise, masked bool) {
 	b.ReportMetric(float64(len(pts)), "points")
 }
 
-// BenchmarkFullChipMap tracks the full-chip sweep throughput across
-// PRs: LS and Full modes through the tile-batched engine, with the
-// pre-change pointwise path as the reference the ≥2× acceptance
-// criterion is measured against. full-batched-unmasked adds the points
-// inside TSV footprints, so it also times the Stage II interior path.
+// BenchmarkFullChipMap tracks the full-chip sweep throughput of the
+// tile-batched engine in LS and Full modes. full-batched-unmasked adds
+// the points inside TSV footprints, so it also times the Stage II
+// interior path.
 func BenchmarkFullChipMap(b *testing.B) {
-	b.Run("ls-batched", func(b *testing.B) { benchMap(b, ModeLS, false, true) })
-	b.Run("full-batched", func(b *testing.B) { benchMap(b, ModeFull, false, true) })
-	b.Run("full-batched-unmasked", func(b *testing.B) { benchMap(b, ModeFull, false, false) })
-	b.Run("ls-pointwise", func(b *testing.B) { benchMap(b, ModeLS, true, true) })
-	b.Run("full-pointwise", func(b *testing.B) { benchMap(b, ModeFull, true, true) })
+	b.Run("ls-batched", func(b *testing.B) { benchMap(b, ModeLS, true) })
+	b.Run("full-batched", func(b *testing.B) { benchMap(b, ModeFull, true) })
+	b.Run("full-batched-unmasked", func(b *testing.B) { benchMap(b, ModeFull, false) })
 }

@@ -13,10 +13,11 @@ import (
 	"tsvstress/internal/tensor"
 )
 
-// parityTol is the allowed disagreement between the tile-batched and
-// pointwise paths. The engines perform the same arithmetic up to
-// summation order and the Atan2-free rotation, so agreement is far
-// tighter than this in practice.
+// parityTol is the allowed disagreement between the tile kernel and
+// the per-point evaluators (StressLS, Interactive, StressAt), its
+// oracle. Both compute the same series up to summation order, the
+// per-victim aggregation and the Atan2-free rotation, so agreement is
+// far tighter than this in practice.
 const parityTol = 1e-9
 
 func randomAnalyzer(t testing.TB, n int, density float64, seed int64, opt Options) *Analyzer {
@@ -201,15 +202,42 @@ func TestMapIntoLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestMapEmptyAndTiny covers the pointwise fallback and empty input.
+// TestMapEmptyAndTiny pins empty input and the smallest batches, which
+// run through the same tile path as full-chip maps: 1-point batches at
+// the awkward locations (a TSV center, just inside and just outside a
+// footprint, beyond every cutoff) and a 32-point batch mixing them with
+// ordinary points, in every mode.
 func TestMapEmptyAndTiny(t *testing.T) {
-	a := pairAnalyzer(t, 10)
+	a := pairAnalyzer(t, 10) // TSVs at (±5, 0)
 	if out := a.Map(nil, ModeFull); len(out) != 0 {
 		t.Fatalf("empty Map returned %d values", len(out))
 	}
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(5, 0), geom.Pt(-8, 3)}
-	want := pointwiseRef(a, pts, ModeFull)
-	if d := maxDiff(a.Map(pts, ModeFull), want); d > parityTol {
-		t.Errorf("tiny Map max diff %.3g MPa", d)
+	rp := a.Struct.RPrime
+	far := geom.Pt(200, 0)
+	special := []geom.Point{
+		geom.Pt(-5, 0),        // TSV center: the d² == 0 branch
+		geom.Pt(5-0.99*rp, 0), // just inside the footprint
+		geom.Pt(5, 1.01*rp),   // just outside the footprint
+		far,                   // beyond every cutoff
+	}
+	batch := append([]geom.Point(nil), special...)
+	rng := rand.New(rand.NewSource(32))
+	for len(batch) < 32 {
+		batch = append(batch, geom.Pt(30*rng.Float64()-15, 20*rng.Float64()-10))
+	}
+	batches := [][]geom.Point{batch}
+	for i := range special {
+		batches = append(batches, special[i:i+1])
+	}
+	for _, pts := range batches {
+		for _, mode := range []Mode{ModeLS, ModeFull, ModeInteractive} {
+			got := a.Map(pts, mode)
+			if d := maxDiff(got, pointwiseRef(a, pts, mode)); d > parityTol {
+				t.Errorf("%d-point batch from %v, mode %v: max diff %.3g MPa", len(pts), pts[0], mode, d)
+			}
+			if pts[0] == far && got[0] != (tensor.Stress{}) {
+				t.Errorf("mode %v: point beyond every cutoff = %+v, want zero", mode, got[0])
+			}
+		}
 	}
 }

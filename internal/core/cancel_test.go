@@ -27,19 +27,19 @@ func cancelTestAnalyzer(t *testing.T) *Analyzer {
 }
 
 // TestMapIntoPreCanceled pins the fast path: a context that is already
-// dead aborts before any tile work, on both the batched and the
-// pointwise path.
+// dead aborts before any tile work, for a large map and for a tiny
+// batch alike.
 func TestMapIntoPreCanceled(t *testing.T) {
 	an := cancelTestAnalyzer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	pts := gridPoints(t, an.Placement, 1.0) // large: batched path
+	pts := gridPoints(t, an.Placement, 1.0) // large: many tiles
 	dst := make([]tensor.Stress, len(pts))
 	err := an.MapInto(ctx, dst, pts, ModeFull)
 	var ce *CancelError
 	if !errors.As(err, &ce) {
-		t.Fatalf("batched MapInto(pre-canceled) = %v, want *CancelError", err)
+		t.Fatalf("large MapInto(pre-canceled) = %v, want *CancelError", err)
 	}
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("CancelError does not match ErrCanceled and its cause: %v", err)
@@ -48,10 +48,10 @@ func TestMapIntoPreCanceled(t *testing.T) {
 		t.Fatalf("pre-canceled run completed %d tiles", ce.TilesDone)
 	}
 
-	small := pts[:4] // pointwise path
+	small := pts[:4] // tiny: one tile
 	err = an.MapInto(ctx, make([]tensor.Stress, len(small)), small, ModeFull)
 	if !errors.As(err, &ce) || !errors.Is(err, ErrCanceled) {
-		t.Fatalf("pointwise MapInto(pre-canceled) = %v, want *CancelError", err)
+		t.Fatalf("tiny MapInto(pre-canceled) = %v, want *CancelError", err)
 	}
 }
 

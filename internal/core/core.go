@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 
 	"tsvstress/internal/geom"
@@ -42,13 +41,6 @@ type Options struct {
 	PairDistCutoff float64
 	// MMax is the interactive-series truncation (default 10).
 	MMax int
-	// ExactLS disables the Stage I look-up table (ablation).
-	ExactLS bool
-	// ScalarKernel forces the pre-SoA scalar tile kernel. It is the
-	// parity oracle for the SoA lane kernels (see batch.go) and a few
-	// times slower; production leaves it false. ExactLS implies the
-	// scalar Stage I path regardless (there is no table to inline).
-	ScalarKernel bool
 	// Workers bounds the parallelism of Map calls (default NumCPU).
 	Workers int
 }
@@ -106,21 +98,14 @@ type Analyzer struct {
 	victimRounds []*interact.VictimRounds
 	numPairs     int
 
-	// Stage I radial table lanes for the fused SoA kernel (nil in
-	// ExactLS mode, which stays on the scalar path); see batch.go.
+	// Stage I radial table lanes for the fused SoA kernel; see
+	// batch.go.
 	lsRR, lsTT []float64
 	lsInvStep  float64
 
 	// Scratch pools for the batched engine (see batch.go).
 	mapPool  sync.Pool
 	tilePool sync.Pool
-}
-
-// initLSLanes captures the LS radial table for the fused tile kernel.
-func (a *Analyzer) initLSLanes() {
-	if rr, tt, step, ok := a.LS.Table(); ok {
-		a.lsRR, a.lsTT, a.lsInvStep = rr, tt, 1/step
-	}
 }
 
 // New builds the analyzer: it solves the single-TSV model, solves the
@@ -131,7 +116,7 @@ func New(st material.Structure, pl *geom.Placement, opt Options) (*Analyzer, err
 	if err := pl.Validate(2 * st.RPrime); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	ls, err := superpose.New(st, superpose.Options{Cutoff: opt.LSCutoff, Exact: opt.ExactLS})
+	ls, err := superpose.New(st, superpose.Options{Cutoff: opt.LSCutoff})
 	if err != nil {
 		return nil, err
 	}
@@ -139,6 +124,7 @@ func New(st material.Structure, pl *geom.Placement, opt Options) (*Analyzer, err
 	if err != nil {
 		return nil, err
 	}
+	rr, tt, step, _ := ls.Table() // table mode: the table always exists
 	a := &Analyzer{
 		Struct:    st,
 		Placement: pl,
@@ -146,8 +132,10 @@ func New(st material.Structure, pl *geom.Placement, opt Options) (*Analyzer, err
 		Model:     model,
 		opt:       opt,
 		idx:       spatial.NewIndex(pl.Centers(), maxF(opt.LSCutoff, opt.PairDistCutoff)),
+		lsRR:      rr,
+		lsTT:      tt,
+		lsInvStep: 1 / step,
 	}
-	a.initLSLanes()
 	// Build per-victim pair rounds; rounds at equal pitch share one
 	// coefficient pair via the model's pitch-keyed cache.
 	a.pairEvals = make([][]interact.PairEval, pl.Len())
@@ -217,72 +205,6 @@ func (a *Analyzer) Map(pts []geom.Point, mode Mode) []tensor.Stress {
 	out := make([]tensor.Stress, len(pts))
 	_ = a.MapInto(context.Background(), out, pts, mode) // length matches by construction
 	return out
-}
-
-// mapPointwise is the reference evaluation path: per-point hash queries
-// with static chunking across workers. It backs tiny Map calls, the
-// parity tests and the before/after benchmarks. A batch this small is
-// one unit of cancellation (the tile analogue), checked on entry only;
-// kernel panics are contained like the batched path's.
-func (a *Analyzer) mapPointwise(ctx context.Context, dst []tensor.Stress, pts []geom.Point, mode Mode) error {
-	if ctx != nil && ctx.Err() != nil {
-		return &CancelError{TilesDone: 0, TilesTotal: 1, Cause: ctx.Err()}
-	}
-	var eval func(geom.Point) tensor.Stress
-	switch mode {
-	case ModeLS:
-		eval = a.StressLS
-	case ModeInteractive:
-		eval = a.Interactive
-	default:
-		eval = a.StressAt
-	}
-	workers := a.opt.Workers
-	if workers > len(pts) {
-		workers = len(pts)
-	}
-	if workers <= 1 {
-		return evalRange(eval, dst, pts, 0, len(pts))
-	}
-	var wg sync.WaitGroup
-	chunk := (len(pts) + workers - 1) / workers
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(pts) {
-			hi = len(pts)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = evalRange(eval, dst, pts, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// evalRange evaluates dst[lo:hi] pointwise, recovering a kernel panic
-// into a *PanicError on the calling goroutine.
-func evalRange(eval func(geom.Point) tensor.Stress, dst []tensor.Stress, pts []geom.Point, lo, hi int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	for i := lo; i < hi; i++ {
-		dst[i] = eval(pts[i])
-	}
-	return nil
 }
 
 func errDstLen(dst, pts int) error {

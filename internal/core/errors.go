@@ -41,10 +41,10 @@ func (e *CancelError) Error() string {
 func (e *CancelError) Unwrap() []error { return []error{ErrCanceled, e.Cause} }
 
 // PanicError is a kernel panic contained by the evaluation engine: a
-// panic raised while evaluating a tile (or a pointwise chunk) is
-// recovered on its worker goroutine and surfaced as an error instead of
-// killing the process. The destination slice is left partially written;
-// treat the evaluation as failed.
+// panic raised while evaluating a tile is recovered on its worker
+// goroutine and surfaced as an error instead of killing the process.
+// The destination slice is left partially written; treat the
+// evaluation as failed.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any

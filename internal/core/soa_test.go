@@ -12,10 +12,11 @@ import (
 )
 
 // soaParityTol is the agreement budget between the SoA lane kernels and
-// the scalar oracle, in MPa. The two paths reassociate floating-point
-// work differently (lane accumulators, packed Horner recurrences, the
-// bounded harmonic truncation), so exact equality is not expected;
-// 1e-9 MPa is ~12 orders below the ~100 MPa fields of interest.
+// the per-point oracle, in MPa. The two paths reassociate floating-point
+// work differently (lane accumulators, per-victim aggregates, packed
+// Horner recurrences, the bounded harmonic truncation), so exact
+// equality is not expected; 1e-9 MPa is ~12 orders below the ~100 MPa
+// fields of interest.
 const soaParityTol = 1e-9
 
 // randomPlacement builds a jittered-grid placement that respects the
@@ -36,14 +37,15 @@ func randomPlacement(rng *rand.Rand, st material.Structure, nx, ny int) *geom.Pl
 	return geom.NewPlacement(pts...)
 }
 
-// Differential property test for the tentpole kernel rewrite: over
-// randomized placements, cutoffs and MMax, the batched SoA engine must
-// match the scalar tile kernel (Options.ScalarKernel) within the parity
-// budget at every point and in every mode. The point set mixes uniform
-// coverage with points snapped near TSV centers and footprint edges,
-// where the interior/exterior classification and the r == 0 branch are
-// exercised.
-func TestSoAMatchesScalarKernel(t *testing.T) {
+// Differential property test for the SoA tile kernel: over randomized
+// placements, cutoffs and MMax, the batched engine must match the
+// per-point oracle (StressLS, Interactive, StressAt: per-round
+// PairEval evaluation with no shared lanes, aggregates or Horner slabs)
+// within the parity budget at every point and in every mode. The point
+// set mixes uniform coverage with points snapped near TSV centers and
+// footprint edges, where the interior/exterior classification and the
+// r == 0 branch are exercised.
+func TestSoAMatchesPointwise(t *testing.T) {
 	st := material.Baseline(material.BCB)
 	rng := rand.New(rand.NewSource(20130607))
 	for trial := 0; trial < 8; trial++ {
@@ -56,12 +58,6 @@ func TestSoAMatchesScalarKernel(t *testing.T) {
 			Workers:         1 + rng.Intn(4),
 		}
 		soa, err := New(st, pl, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sopt := opt
-		sopt.ScalarKernel = true
-		scalar, err := New(st, pl, sopt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,10 +83,10 @@ func TestSoAMatchesScalarKernel(t *testing.T) {
 
 		for _, mode := range []Mode{ModeLS, ModeInteractive, ModeFull} {
 			got := soa.Map(pts, mode)
-			want := scalar.Map(pts, mode)
+			want := pointwiseRef(soa, pts, mode)
 			for i := range pts {
 				if d := stressDiff(got[i], want[i]); d > soaParityTol {
-					t.Fatalf("trial %d mode %d: SoA kernel diverges from scalar oracle at %v by %g MPa\n soa=%+v\n ref=%+v",
+					t.Fatalf("trial %d mode %d: SoA kernel diverges from per-point oracle at %v by %g MPa\n soa=%+v\n ref=%+v",
 						trial, mode, pts[i], d, got[i], want[i])
 				}
 			}

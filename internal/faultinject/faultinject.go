@@ -37,11 +37,8 @@ type Fault struct {
 	// before failing (torn-write drill). Consulted only by ShortWrite
 	// call sites; clamped to the attempted length.
 	ShortWrite int
-	// After skips the first After firings, so a fault can be aimed at
-	// the Nth operation (e.g. "fail the 3rd journal append").
-	After int
 	// Times disarms the fault after this many firings; 0 means it
-	// stays armed until Clear/Reset.
+	// stays armed until Reset.
 	Times int
 }
 
@@ -50,9 +47,8 @@ type Fault struct {
 var ErrInjected = errors.New("faultinject: injected fault")
 
 type armed struct {
-	f       Fault
-	skipped int
-	fired   int
+	f     Fault
+	fired int
 }
 
 var (
@@ -74,16 +70,6 @@ func Set(site string, f Fault) {
 	sites[site] = &armed{f: f}
 }
 
-// Clear disarms site. Clearing an unarmed site is a no-op.
-func Clear(site string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, ok := sites[site]; ok {
-		delete(sites, site)
-		nArmed.Add(-1)
-	}
-}
-
 // Reset disarms every site.
 func Reset() {
 	mu.Lock()
@@ -93,17 +79,13 @@ func Reset() {
 }
 
 // take returns a copy of the fault to apply at site for this firing, or
-// nil (not armed, still skipping, or already spent). It performs the
-// After/Times bookkeeping and auto-disarms spent faults.
+// nil (not armed or already spent). It performs the Times bookkeeping
+// and auto-disarms spent faults.
 func take(site string) *Fault {
 	mu.Lock()
 	defer mu.Unlock()
 	a, ok := sites[site]
 	if !ok {
-		return nil
-	}
-	if a.skipped < a.f.After {
-		a.skipped++
 		return nil
 	}
 	a.fired++

@@ -57,15 +57,15 @@ func TestPanicFault(t *testing.T) {
 	t.Fatal("Fire did not panic")
 }
 
-func TestAfterAndTimes(t *testing.T) {
+func TestTimesAutoDisarms(t *testing.T) {
 	defer Reset()
-	// Skip 2 firings, then fail exactly twice, then auto-disarm.
-	Set("n", Fault{After: 2, Times: 2})
+	// Fail exactly twice, then auto-disarm.
+	Set("n", Fault{Times: 2})
 	var got []bool
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 4; i++ {
 		got = append(got, Fire("n") != nil)
 	}
-	want := []bool{false, false, true, true, false, false}
+	want := []bool{true, true, false, false}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("firing %d: injected=%v, want %v (all: %v)", i, got[i], want[i], got)
@@ -89,21 +89,18 @@ func TestShortWriteClamps(t *testing.T) {
 	}
 }
 
-func TestClearAndReset(t *testing.T) {
+func TestResetDisarmsEverySite(t *testing.T) {
 	defer Reset()
 	Set("x", Fault{})
 	Set("y", Fault{})
-	Clear("x")
-	Clear("x") // double-clear is a no-op
-	if err := Fire("x"); err != nil {
-		t.Fatalf("cleared site fired: %v", err)
-	}
-	if err := Fire("y"); err == nil {
-		t.Fatal("armed site did not fire")
-	}
-	Set("y", Fault{}) // re-arm after the previous firing
 	Reset()
-	if err := Fire("y"); err != nil {
-		t.Fatalf("site fired after Reset: %v", err)
+	for _, site := range []string{"x", "y"} {
+		if err := Fire(site); err != nil {
+			t.Fatalf("site %q fired after Reset: %v", site, err)
+		}
+	}
+	Set("y", Fault{}) // re-arming after Reset works
+	if err := Fire("y"); err == nil {
+		t.Fatal("re-armed site did not fire")
 	}
 }

@@ -24,7 +24,7 @@ import (
 //
 // so the four per-harmonic aggregates Σ a cos(mψ), Σ a sin(mψ),
 // Σ b cos(mψ), Σ b sin(mψ) are point independent and computed once at
-// pack time. AccumulateAt then costs O(MMax) per point regardless of
+// pack time. AccumulateTile then costs O(MMax) per point regardless of
 // how many rounds the victim participates in — the structural speedup
 // that makes dense full-chip Stage II tractable.
 //
@@ -41,19 +41,19 @@ type VictimRounds struct {
 	vicX, vicY float64
 	rPrime     float64
 	nm         int // harmonics (MMax−1)
-	// Aggregated coefficients, each of length nm (index m−2):
-	// ca[i] = Σ_r a_i^r cos(mψ_r), sa[i] = Σ_r a_i^r sin(mψ_r),
-	// cb/sb likewise for b, ci/si likewise for the incident
-	// coefficients s_i^r. Backed by one slab.
-	ca, sa, cb, sb, ci, si []float64
-	evs                    []PairEval // per-round path for the victim center
+	// Aggregated incident coefficients for interiorAt, each of length
+	// nm (index m−2): ci[i] = Σ_r s_i^r cos(mψ_r), si[i] = Σ_r s_i^r
+	// sin(mψ_r). Backed by one slab.
+	ci, si []float64
+	evs    []PairEval // per-round path for the victim center
 
 	// SoA complex-Horner state for AccumulateTile (see the derivation
 	// there). horner is step-major, one hornerStep per harmonic index
 	// i: [γRe, γIm, (i+2)·γRe, (i+2)·γIm, βRe, βIm] with
-	// γ_i = ca[i] − i·sa[i] and β_i = cb[i] − i·sb[i], so one Horner
-	// step streams a single 48-byte run and indexes with one bounds
-	// check at most.
+	// γ_i = ca_i − i·sa_i and β_i = cb_i − i·sb_i, where
+	// ca_i = Σ_r a_i^r cos(mψ_r), sa_i = Σ_r a_i^r sin(mψ_r) and cb/sb
+	// likewise for b, so one Horner step streams a single 48-byte run
+	// and indexes with one bounds check at most.
 	horner []hornerStep
 	// trunc[k] is the smallest d² (µm²) at which evaluating the Horner
 	// polynomials with coefficient indices 0…k only keeps the dropped
@@ -62,7 +62,7 @@ type VictimRounds struct {
 	trunc []float64
 	// rp2Guard is R′²·(1+guard): below it the exterior/interior
 	// classification recomputes math.Hypot so it is bit-identical to
-	// the scalar paths (σθθ jumps across Γ1, so a 1-ulp disagreement
+	// PairEval.StressAt's (σθθ jumps across Γ1, so a 1-ulp disagreement
 	// would not be a round-off-level diff).
 	rp2Guard float64
 	rp2      float64 // R′²
@@ -110,21 +110,21 @@ func PackRounds(evs []PairEval) *VictimRounds {
 	}
 	mo := kept[0].model
 	nm := len(kept[0].a)
-	slab := make([]float64, 6*nm)
+	slab := make([]float64, 2*nm)
 	vr := &VictimRounds{
 		mo:     mo,
 		vicX:   kept[0].vic.X,
 		vicY:   kept[0].vic.Y,
 		rPrime: kept[0].rPrime,
 		nm:     nm,
-		ca:     slab[0*nm : 1*nm],
-		sa:     slab[1*nm : 2*nm],
-		cb:     slab[2*nm : 3*nm],
-		sb:     slab[3*nm : 4*nm],
-		ci:     slab[4*nm : 5*nm],
-		si:     slab[5*nm : 6*nm],
+		ci:     slab[:nm],
+		si:     slab[nm:],
 		evs:    kept,
 	}
+	// The exterior aggregates are only read while packing the Horner
+	// slab.
+	ext := make([]float64, 4*nm)
+	ca, sa, cb, sb := ext[0*nm:1*nm], ext[1*nm:2*nm], ext[2*nm:3*nm], ext[3*nm:4*nm]
 	for k := range kept {
 		pe := &kept[k]
 		// cos/sin(mψ) recurrence over the round's axis angle ψ,
@@ -134,31 +134,31 @@ func PackRounds(evs []PairEval) *VictimRounds {
 		sm := 2 * s1 * c1
 		for i := 0; i < nm; i++ {
 			inc := potential.IncidentCoeff(i, mo.Lame.K, pe.rPrime, pe.d)
-			vr.ca[i] += pe.a[i] * cm
-			vr.sa[i] += pe.a[i] * sm
-			vr.cb[i] += pe.b[i] * cm
-			vr.sb[i] += pe.b[i] * sm
+			ca[i] += pe.a[i] * cm
+			sa[i] += pe.a[i] * sm
+			cb[i] += pe.b[i] * cm
+			sb[i] += pe.b[i] * sm
 			vr.ci[i] += inc * cm
 			vr.si[i] += inc * sm
 			cm, sm = cm*c1-sm*s1, sm*c1+cm*s1
 		}
 	}
-	vr.packHorner()
+	vr.packHorner(ca, sa, cb, sb)
 	return vr
 }
 
-// packHorner folds the four aggregate lanes into the step-major complex
-// coefficient slab AccumulateTile streams, and solves the per-start
-// truncation thresholds.
-func (vr *VictimRounds) packHorner() {
+// packHorner folds the four exterior aggregate lanes into the
+// step-major complex coefficient slab AccumulateTile streams, and
+// solves the per-start truncation thresholds.
+func (vr *VictimRounds) packHorner(ca, sa, cb, sb []float64) {
 	nm := vr.nm
 	vr.horner = make([]hornerStep, nm)
 	for i := 0; i < nm; i++ {
 		fm := float64(i + 2)
 		vr.horner[i] = hornerStep{
-			vr.ca[i], -vr.sa[i],
-			fm * vr.ca[i], -fm * vr.sa[i],
-			vr.cb[i], -vr.sb[i],
+			ca[i], -sa[i],
+			fm * ca[i], -fm * sa[i],
+			cb[i], -sb[i],
 		}
 	}
 	vr.rp2 = vr.rPrime * vr.rPrime
@@ -174,8 +174,8 @@ func (vr *VictimRounds) packHorner() {
 	wts := make([]float64, nm)
 	for i := 0; i < nm; i++ {
 		fm := float64(i + 2)
-		ai := math.Hypot(vr.ca[i], vr.sa[i])
-		bi := math.Hypot(vr.cb[i], vr.sb[i])
+		ai := math.Hypot(ca[i], sa[i])
+		bi := math.Hypot(cb[i], sb[i])
 		wts[i] = (2+2*fm)*ai + 2*bi
 	}
 	//tsvlint:ignore hotpath per-victim setup, not the per-point lane sweep: runs once per rebuild
@@ -219,46 +219,6 @@ func (vr *VictimRounds) NumRounds() int { return len(vr.evs) }
 
 // Vic returns the shared victim center.
 func (vr *VictimRounds) Vic() geom.Point { return geom.Pt(vr.vicX, vr.vicY) }
-
-// AccumulateAt adds the summed interactive stress of all packed rounds
-// at (px, py) into acc. It matches summing PairEval.StressAt over the
-// rounds to round-off: the factorization above is an exact trig
-// identity, so only summation order and recurrence rounding differ.
-func (vr *VictimRounds) AccumulateAt(px, py float64, acc *tensor.Stress) {
-	relX := px - vr.vicX
-	relY := py - vr.vicY
-	r := math.Hypot(relX, relY)
-	if r < vr.rPrime {
-		*acc = acc.Add(vr.interiorAt(px, py))
-		return
-	}
-	cphi, sphi := relX/r, relY/r
-	inv := vr.rPrime / r // 1/ρ̂ < 1
-	inv2 := inv * inv
-	pm := inv2 // ρ̂^{−m} starting at m = 2
-	// cos/sin(mφ) recurrence starting at m = 2.
-	cm := cphi*cphi - sphi*sphi
-	sm := 2 * sphi * cphi
-	var rr, tt, rt float64
-	for i := 0; i < vr.nm; i++ {
-		fm := float64(i + 2)
-		ac := cm*vr.ca[i] + sm*vr.sa[i] // Σ_r a cos(mθ_r)
-		as := sm*vr.ca[i] - cm*vr.sa[i] // Σ_r a sin(mθ_r)
-		bc := (cm*vr.cb[i] + sm*vr.sb[i]) * inv2
-		bs := (sm*vr.cb[i] - cm*vr.sb[i]) * inv2
-		rr += pm * ((2+fm)*ac - bc)
-		tt += pm * ((2-fm)*ac + bc)
-		rt += pm * (fm*as - bs)
-		pm *= inv
-		cm, sm = cm*cphi-sm*sphi, sm*cphi+cm*sphi
-	}
-	// One polar→Cartesian rotation for the victim's whole round set
-	// (the r-axis at angle φ is shared by every round).
-	c2, s2, cs := cphi*cphi, sphi*sphi, cphi*sphi
-	acc.XX += rr*c2 - 2*rt*cs + tt*s2
-	acc.YY += rr*s2 + 2*rt*cs + tt*c2
-	acc.XY += (rr-tt)*cs + rt*(c2-s2)
-}
 
 // interiorAt returns the summed stress of all packed rounds at a point
 // inside the victim footprint (r < R′): the transmitted field minus the
@@ -337,11 +297,12 @@ func (vr *VictimRounds) interiorAt(px, py float64) tensor.Stress {
 
 // AccumulateTile adds this victim's interactive stress into the tile
 // accumulator lanes for every point with squared distance ≤ pd2 from
-// the victim center — the SoA form of calling AccumulateAt per point.
+// the victim center — the SoA form of summing PairEval.StressAt over
+// the packed rounds at each point.
 //
-// It evaluates the same harmonic sum through a complex reformulation
-// that needs no radial norm and exactly one division per contributing
-// point. With z = relX + i·relY and w = R′·z/|z|² (so |w| = R′/r and
+// It evaluates the aggregated harmonic sum (see VictimRounds) through a
+// complex reformulation that needs no radial norm and exactly one
+// division per contributing point. With z = relX + i·relY and w = R′·z/|z|² (so |w| = R′/r and
 // arg w = φ), the aggregated series collapses to two complex
 // polynomials in w, each evaluated by Horner over the step-major slab:
 //
@@ -356,8 +317,10 @@ func (vr *VictimRounds) interiorAt(px, py float64) tensor.Stress {
 //	V    = U·e^{2iφ} = (U·w²)·(d²/R′²)
 //	σxx += 2·Re(S·w²) + Re V,  σyy += 2·Re(S·w²) − Re V,  σxy += Im V
 //
-// which matches AccumulateAt's polar recurrence + rotation to round-off
-// (the parity tests pin ≤1e-9 MPa; in isolation the two forms agree to
+// which matches the per-round polar recurrence + rotation of
+// PairEval.StressAt to round-off: the aggregation is an exact trig
+// identity, so only summation order and recurrence rounding differ (the
+// parity tests pin ≤1e-9 MPa; in isolation the two forms agree to
 // ~1e-13). Far points start the Horner recursion at the precomputed
 // truncation index, bounding the dropped tail below truncTolMPa per
 // component; the start-index scan walks down from the full series so
@@ -366,8 +329,8 @@ func (vr *VictimRounds) interiorAt(px, py float64) tensor.Stress {
 //
 // px, py, sxx, syy, sxy must have equal length. Points inside the
 // victim footprint take the aggregated interior path, interiorAt (the
-// classification reproduces AccumulateAt's Hypot compare exactly via
-// rp2Guard).
+// classification reproduces PairEval.StressAt's Hypot compare exactly
+// via rp2Guard).
 func (vr *VictimRounds) AccumulateTile(px, py, sxx, syy, sxy []float64, pd2 float64) {
 	n := len(px)
 	if len(py) != n || len(sxx) != n || len(syy) != n || len(sxy) != n {
@@ -386,7 +349,7 @@ func (vr *VictimRounds) AccumulateTile(px, py, sxx, syy, sxy []float64, pd2 floa
 		}
 		if d2 < vr.rp2Guard {
 			// Guard band: settle interior vs exterior with the exact
-			// scalar-path compare.
+			// per-round compare.
 			if math.Hypot(dx, dy) < rp {
 				s := vr.interiorAt(px[i], py[i])
 				sxx[i] += s.XX

@@ -55,8 +55,8 @@ func TestCachedPairEvalMatchesDirect(t *testing.T) {
 }
 
 // TestPackRoundsMatchesPerRoundSum pins the aggregated per-harmonic
-// evaluation against summing PairEval.StressAt round by round,
-// including the interior fallback.
+// evaluation (AccumulateTile) against summing PairEval.StressAt round
+// by round, including the interior path.
 func TestPackRoundsMatchesPerRoundSum(t *testing.T) {
 	mo, err := New(material.Baseline(material.BCB), 0)
 	if err != nil {
@@ -82,13 +82,18 @@ func TestPackRoundsMatchesPerRoundSum(t *testing.T) {
 		geom.Pt(4, 3), geom.Pt(-6, 1), geom.Pt(0.5, -0.2) /* inside victim */, geom.Pt(20, 20),
 		geom.Pt(3.0001, 0), geom.Pt(0, 0), // footprint boundary region and center
 	}
-	for _, p := range pts {
+	px, py := make([]float64, len(pts)), make([]float64, len(pts))
+	for i, p := range pts {
+		px[i], py[i] = p.X, p.Y
+	}
+	sxx, syy, sxy := make([]float64, len(pts)), make([]float64, len(pts)), make([]float64, len(pts))
+	vr.AccumulateTile(px, py, sxx, syy, sxy, 1e6) // cutoff beyond every point
+	for i, p := range pts {
 		var want tensor.Stress
 		for k := range evs {
 			want = want.Add(evs[k].StressAt(p))
 		}
-		var got tensor.Stress
-		vr.AccumulateAt(p.X, p.Y, &got)
+		got := tensor.Stress{XX: sxx[i], YY: syy[i], XY: sxy[i]}
 		for _, d := range []float64{got.XX - want.XX, got.YY - want.YY, got.XY - want.XY} {
 			if math.Abs(d) > 1e-9 {
 				t.Errorf("at %v: packed %v vs per-round %v", p, got, want)

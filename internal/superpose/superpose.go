@@ -70,26 +70,24 @@ func New(st material.Structure, opt Options) (*LS, error) {
 // Cutoff returns the nearby-TSV distance in use, in µm.
 func (ls *LS) Cutoff() float64 { return ls.opt.Cutoff }
 
-// Polar returns the axisymmetric single-TSV stress profile in MPa at
+// polar returns the axisymmetric single-TSV stress profile in MPa at
 // radial distance r ≥ 0 from the center (σrr, σθθ in the TSV's polar
 // frame; σrθ is identically zero), using the table look-up or the exact
-// Lamé solution per Options. Batched engines use it to rotate polar→
-// Cartesian in place without a per-point Atan2. Beyond the cutoff the
-// value is not meaningful (callers gate on Cutoff).
-func (ls *LS) Polar(r float64) tensor.Polar {
+// Lamé solution per Options. Beyond the cutoff the value is not
+// meaningful (callers gate on Cutoff).
+func (ls *LS) polar(r float64) tensor.Polar {
 	if ls.table != nil {
 		return ls.table.at(r)
 	}
 	return ls.Sol.PolarAt(r)
 }
 
-// Table exposes the radial look-up table backing Polar for fused batch
-// kernels that inline the interpolation: the σrr and σθθ profiles
-// sampled every step µm from r = 0, with linear interpolation between
-// knots and the last interval clamped (exactly what Polar computes in
-// table mode). ok is false in Exact mode, where no table exists and
-// callers must stay on Polar. The slices are the live table — callers
-// must not mutate them.
+// Table exposes the radial look-up table for fused batch kernels that
+// inline the interpolation: the σrr and σθθ profiles sampled every
+// step µm from r = 0, with linear interpolation between knots and the
+// last interval clamped (exactly what StressAt computes in table mode).
+// ok is false in Exact mode, where no table exists. The slices are the
+// live table — callers must not mutate them.
 func (ls *LS) Table() (rr, tt []float64, step float64, ok bool) {
 	if ls.table == nil {
 		return nil, nil, 0, false
@@ -109,7 +107,7 @@ func (ls *LS) Contribution(p, c geom.Point) tensor.Stress {
 		pol := ls.Sol.PolarAt(0)
 		return tensor.Stress{XX: pol.RR, YY: pol.TT}
 	}
-	return ls.Polar(r).ToCartesian(rel.Angle())
+	return ls.polar(r).ToCartesian(rel.Angle())
 }
 
 // StressAt superposes the contributions, in MPa, of all indexed TSVs
@@ -136,7 +134,7 @@ func (ls *LS) contributionAt(p, c geom.Point, r float64) tensor.Stress {
 		return tensor.Stress{XX: pol.RR, YY: pol.TT}
 	}
 	rel := p.Sub(c)
-	return ls.Polar(r).ToCartesian(rel.Angle())
+	return ls.polar(r).ToCartesian(rel.Angle())
 }
 
 // radialTable stores the axisymmetric single-TSV polar stress profile
