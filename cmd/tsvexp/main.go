@@ -36,23 +36,23 @@ func main() {
 		quick  = flag.Bool("quick", false, "reduced resolution (for smoke runs)")
 		only   = flag.String("only", "", "comma-separated experiment ids (default: all)")
 		seed   = flag.Int64("seed", 2013, "seed for random placements")
-		bench  = flag.Bool("bench", false, "run only the full-chip map benchmark and write BENCH_fullchip.json")
 		agingF = flag.Bool("aging", false, "run the aging lifetime sweep and write AGING_curves.json (with -compare: golden-check two sweep records)")
 		cpuPro = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memPro = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		cmp    = flag.Bool("compare", false, "with -bench: compare two benchmark JSON records (old new) instead of running; exits 1 on a >tolerance regression")
-		cmpTol = flag.Float64("compare-tol", 0.10, "with -compare: fractional regression tolerance")
+		cmp    = flag.Bool("compare", false, "with -aging: golden-check two sweep records (golden fresh) instead of running; exits 1 on a deviation")
+		cmpTol = flag.Float64("compare-tol", 0.10, "with -compare: fractional deviation tolerance")
 	)
 	flag.Parse()
 
 	if *cmp {
+		if !*agingF {
+			log.Print("-compare needs -aging; usage: tsvexp -aging -compare [-compare-tol f] golden.json fresh.json")
+			os.Exit(2)
+		}
 		if flag.NArg() != 2 {
 			log.Fatalf("-compare needs exactly two files (old.json new.json), got %d args", flag.NArg())
 		}
-		if *agingF {
-			os.Exit(runAgingCompare(flag.Arg(0), flag.Arg(1), *cmpTol))
-		}
-		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), *cmpTol))
+		os.Exit(runAgingCompare(flag.Arg(0), flag.Arg(1), *cmpTol))
 	}
 
 	stopProf, err := prof.Start(*cpuPro, *memPro)
@@ -109,34 +109,6 @@ func main() {
 		log.Printf("aging done in %v: pitch %g→%g µm moves mean lifetime %.3g→%.3g s, mean risk %.3g→%.3g",
 			time.Since(t0).Round(time.Millisecond), first.PitchUm, last.PitchUm,
 			first.MeanLifetimeSeconds, last.MeanLifetimeSeconds, first.MeanRisk, last.MeanRisk)
-		log.Printf("results written to %s", *outDir)
-		return
-	}
-	if *bench {
-		// Full-chip map throughput: 1000 TSVs, ~200k device-layer grid
-		// points (20k in quick mode), LS and Full through the
-		// tile-batched engine. The JSON record tracks the perf
-		// trajectory across PRs.
-		numPts := 200_000
-		if *quick {
-			numPts = 20_000
-		}
-		log.Printf("bench: full-chip map, 1000 TSVs, ~%d points ...", numPts)
-		t0 := time.Now()
-		r, err := exp.RunFullChipBench(1000, numPts, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		f, err := os.Create(filepath.Join(*outDir, "BENCH_fullchip.json"))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := exp.WriteFullChipJSON(f, r); err != nil {
-			log.Fatal(err)
-		}
-		closeOut(f)
-		log.Printf("bench done in %v: LS %.0f ns/point, Full %.0f ns/point (%d points, %d pair rounds, %d cached pitches)",
-			time.Since(t0).Round(time.Millisecond), r.LSNsPerPoint, r.FullNsPerPoint, r.NumPoints, r.PairRounds, r.CoeffCacheSize)
 		log.Printf("results written to %s", *outDir)
 		return
 	}

@@ -34,6 +34,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -497,6 +498,10 @@ type Report struct {
 	LiveSessions  int                   `json:"liveSessions"`
 	Routes        map[string]RouteStats `json:"routes"`
 	Parity        ParityStats           `json:"parity"`
+	// Host stamp: records from different hosts are not comparable.
+	HostCPUs   int    `json:"hostCpus"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"goVersion"`
 }
 
 // ParityStats summarizes the shadow verification.
@@ -516,6 +521,9 @@ func (r *loadRun) report(sessions, workers int, wall time.Duration) Report {
 		Mode:        r.mode,
 		WallSeconds: wall.Seconds(),
 		Routes:      make(map[string]RouteStats, len(r.rec.routes)),
+		HostCPUs:    runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		GoVersion:   runtime.Version(),
 	}
 	for route, rr := range r.rec.routes {
 		sort.Slice(rr.latencies, func(i, j int) bool { return rr.latencies[i] < rr.latencies[j] })
@@ -551,11 +559,15 @@ func (r *loadRun) report(sessions, workers int, wall time.Duration) Report {
 	return rep
 }
 
+// quantileMs returns the nearest-rank q-quantile (0 < q ≤ 1) of an
+// ascending latency slice in milliseconds: the smallest sample with at
+// least q·n samples at or below it, so p99 of fewer than 100 samples
+// is the maximum.
 func quantileMs(sorted []time.Duration, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q*float64(len(sorted))) - 1
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if i < 0 {
 		i = 0
 	}

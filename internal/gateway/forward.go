@@ -47,6 +47,22 @@ func tenantOf(r *http.Request) string {
 	return "default"
 }
 
+// validTenant reports whether t may key quotas and metrics: at most
+// maxTenantLen bytes of [A-Za-z0-9._-].
+func validTenant(t string) bool {
+	if len(t) > maxTenantLen {
+		return false
+	}
+	for i := 0; i < len(t); i++ {
+		switch c := t[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '.', c == '_', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // guard wraps every routed handler with drain refusal, in-flight
 // accounting and the per-tenant quota.
 func (g *Gateway) guard(route string, h http.HandlerFunc) http.HandlerFunc {
@@ -59,6 +75,12 @@ func (g *Gateway) guard(route string, h http.HandlerFunc) http.HandlerFunc {
 		g.inflight.Add(1)
 		defer g.inflight.Done()
 		tenant := tenantOf(r)
+		if !validTenant(tenant) {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf(
+				"X-Tsvgate-Tenant must be 1-%d bytes of [A-Za-z0-9._-]", maxTenantLen))
+			return
+		}
+		tenant = tracked.key(tenant)
 		if !g.quotas.allow(tenant) {
 			metricQuotaRejections.Add(1)
 			metricTenantRejections.Add(tenant, 1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -513,5 +515,74 @@ func TestGatewayNoReplicas(t *testing.T) {
 	}
 	if resp := doJSON(t, gw.Client(), "GET", gw.URL+"/readyz", nil, nil); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("readyz over a dead fleet: %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestGatewayTenantBounds: a client minting a fresh X-Tsvgate-Tenant
+// per request cannot grow the per-tenant expvar maps or the quota
+// buckets past maxTenants plus the overflow key, and malformed tenants
+// are refused with 400 before they key anything.
+func TestGatewayTenantBounds(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"placements":[]}`))
+	}))
+	defer stub.Close()
+	g, err := New(Options{
+		Replicas:   []Replica{{Name: "stub", URL: stub.URL}},
+		Seed:       7,
+		QuotaRate:  1e-6,
+		QuotaBurst: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close(context.Background())
+	h := g.Handler()
+	status := func(tenant string) int {
+		req := httptest.NewRequest("GET", "/v1/placements", nil)
+		req.Header.Set("X-Tsvgate-Tenant", tenant)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+
+	for _, bad := range []string{strings.Repeat("a", maxTenantLen+1), "a b", "t/1", "tenanté"} {
+		if s := status(bad); s != http.StatusBadRequest {
+			t.Errorf("tenant %q: %d, want 400", bad, s)
+		}
+	}
+	if s := status(strings.Repeat("a", maxTenantLen)); s != http.StatusOK {
+		t.Errorf("%d-byte tenant: %d, want 200", maxTenantLen, s)
+	}
+
+	// Each tenant's first request spends its one token and is routed;
+	// the second is over quota.
+	const n = 10_000
+	for i := 0; i < n; i++ {
+		tenant := "t-" + strconv.Itoa(i)
+		status(tenant)
+		if s := status(tenant); s != http.StatusTooManyRequests {
+			t.Fatalf("tenant %s second request: %d, want 429", tenant, s)
+		}
+	}
+	size := func(m *expvar.Map) int {
+		k := 0
+		m.Do(func(expvar.KeyValue) { k++ })
+		return k
+	}
+	g.quotas.mu.Lock()
+	buckets := len(g.quotas.buckets)
+	g.quotas.mu.Unlock()
+	for name, got := range map[string]int{
+		"tenant_routed_total":           size(metricTenantRouted),
+		"tenant_quota_rejections_total": size(metricTenantRejections),
+		"quota buckets":                 buckets,
+	} {
+		if got > maxTenants+1 {
+			t.Errorf("%s holds %d tenants after %d distinct ones, want at most %d", name, got, n, maxTenants+1)
+		}
+	}
+	if metricTenantRejections.Get(overflowTenant) == nil {
+		t.Errorf("no %s row after %d distinct tenants", overflowTenant, n)
 	}
 }
